@@ -30,7 +30,7 @@ impl fmt::Display for Severity {
 
 /// Stable diagnostic codes, grouped by check family:
 /// `HX00x` IR / schema, `HX01x` stage graph, `HX02x` staging memory,
-/// `HX03x` config / fault plan, `HX04x` re-optimization.
+/// `HX03x` config / fault plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
     /// Cross-stage schema mismatch: a stage's input width disagrees with
@@ -89,12 +89,6 @@ pub enum Code {
     /// A fault-plan entry that can never fire (empty time window, zero
     /// probability, zero-byte burst).
     HX033,
-    /// Re-optimization configuration is invalid (non-finite or out-of-range
-    /// `min_gain`): the engine would reject the config before planning.
-    HX040,
-    /// Re-optimization enabled with every search axis off: the plan space
-    /// collapses to the incumbent, so the feature can never rewrite anything.
-    HX041,
 }
 
 impl Code {
@@ -119,21 +113,15 @@ impl Code {
             Code::HX031 => "HX031",
             Code::HX032 => "HX032",
             Code::HX033 => "HX033",
-            Code::HX040 => "HX040",
-            Code::HX041 => "HX041",
         }
     }
 
     /// The severity this code reports at.
     pub fn severity(self) -> Severity {
         match self {
-            Code::HX004
-            | Code::HX006
-            | Code::HX007
-            | Code::HX021
-            | Code::HX032
-            | Code::HX033
-            | Code::HX041 => Severity::Warning,
+            Code::HX004 | Code::HX006 | Code::HX007 | Code::HX021 | Code::HX032 | Code::HX033 => {
+                Severity::Warning
+            }
             _ => Severity::Error,
         }
     }
@@ -159,8 +147,6 @@ impl Code {
             Code::HX031 => "wedge injection without watchdog",
             Code::HX032 => "transient faults with recovery disabled",
             Code::HX033 => "fault-plan entry never fires",
-            Code::HX040 => "invalid re-optimization config",
-            Code::HX041 => "re-optimization with no search axis",
         }
     }
 }

@@ -1,21 +1,19 @@
-//! Emit `BENCH_pipeline.json`: pipelined vs stage-at-a-time A/B numbers for
-//! the join+reduce acceptance workload and the SSB queries.
+//! Emit `BENCH_pipeline.json`: pipelined simulated times for the join+reduce
+//! workload and the SSB queries, each checked against the reference
+//! executor's rows.
 //!
 //! Usage: `pipeline_ab [out_dir]` — writes `BENCH_pipeline.json` into
-//! `out_dir` (default: the current directory).
+//! `out_dir` (default: the current directory). Exits 1 when any workload's
+//! rows differ from the reference.
 
 use hetex_bench::pipeline_ab;
 
 fn main() {
-    let report = pipeline_ab::run_all(200_000, 0.002).expect("A/B suite failed");
+    let report = pipeline_ab::run_all(200_000, 0.002).expect("pipeline suite failed");
     for row in &report.rows {
         println!(
-            "{:<28} pipelined {:>9.4}s  stage-at-a-time {:>9.4}s  improvement {:>6.2}%  rows_identical {}",
-            row.workload,
-            row.pipelined_s,
-            row.stage_at_a_time_s,
-            row.improvement_pct(),
-            row.rows_identical
+            "{:<28} pipelined {:>9.4}s  rows_identical {}",
+            row.workload, row.pipelined_s, row.rows_identical
         );
     }
     let path = hetex_bench::bench_output_path(
@@ -24,4 +22,8 @@ fn main() {
     );
     std::fs::write(&path, report.to_json()).expect("write BENCH_pipeline.json");
     println!("wrote {}", path.display());
+    if report.rows.iter().any(|row| !row.rows_identical) {
+        eprintln!("pipeline suite failed its bar: rows differ from the reference executor");
+        std::process::exit(1);
+    }
 }

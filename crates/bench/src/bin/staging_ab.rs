@@ -10,17 +10,22 @@ fn main() {
     let report = staging_ab::run_all(200_000).expect("staging A/B suite failed");
     let mut ok = true;
     for row in &report.rows {
+        let ungoverned = match (row.ungoverned_s, row.overhead_pct()) {
+            (Some(s), Some(pct)) => format!("ungoverned {s:>9.4}s  overhead {pct:>6.2}%  "),
+            _ => String::new(),
+        };
         println!(
-            "{:<28} governed {:>9.4}s  ungoverned {:>9.4}s  overhead {:>6.2}%  peak {:>10} / {} bytes  rows_identical {}",
+            "{:<28} governed {:>9.4}s  {}peak {:>10} / {} bytes  rows_identical {}",
             row.workload,
             row.governed_s,
-            row.ungoverned_s,
-            row.overhead_pct(),
+            ungoverned,
             row.peak_leased_bytes,
             row.budget_bytes,
             row.rows_identical
         );
-        ok &= row.rows_identical && row.overhead_pct() <= 5.0;
+        ok &= row.rows_identical
+            && row.overhead_pct().is_none_or(|pct| pct <= 5.0)
+            && row.peak_leased_bytes <= row.budget_bytes;
     }
     let path = hetex_bench::bench_output_path(
         std::env::args().nth(1).map(Into::into),
@@ -30,7 +35,8 @@ fn main() {
     println!("wrote {}", path.display());
     if !ok {
         eprintln!(
-            "staging governance A/B failed its acceptance bar (>5% overhead or row mismatch)"
+            "staging governance A/B failed its acceptance bar (>5% overhead, row mismatch or \
+             peak over budget)"
         );
         std::process::exit(1);
     }

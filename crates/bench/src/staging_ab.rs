@@ -3,25 +3,28 @@
 //! Runs the pipelined executor over the join+reduce hybrid acceptance
 //! workload twice — once with the per-node staging byte budget enabled
 //! (`EngineConfig::staging_bytes = Some(..)`, every queued block backed by a
-//! `BlockLease`) and once with governance disabled (`None`, the PR 1
-//! handle-count-only behaviour) — and reports simulated end-to-end times, the
-//! relative overhead, the per-node peak staged bytes, and whether the result
-//! rows were byte-identical. The acceptance bar: governance must stay within
-//! 5% of the ungoverned throughput on identical row counts. `cargo run
-//! --release -p hetex-bench --bin staging_ab` emits `BENCH_staging.json`.
+//! `BlockLease`) and once with governance disabled (`None`, handle-count
+//! bounds only) — and reports simulated end-to-end times, the relative
+//! overhead, the per-node peak staged bytes, and whether the result rows
+//! were byte-identical. The acceptance bar: governance must stay within 5%
+//! of the ungoverned throughput on identical row counts. A second row runs
+//! the governed workload under a tight budget, where the demand-weighted
+//! quotas bind. `cargo run --release -p hetex-bench --bin staging_ab` emits
+//! `BENCH_staging.json`.
 
 use crate::pipeline_ab::join_reduce_engine;
 use hetex_common::config::DEFAULT_STAGING_BYTES;
-use hetex_common::{EngineConfig, ExecutionMode, Result};
+use hetex_common::{EngineConfig, Result};
+use hetex_engine::reference_execute;
 
-/// The demand-weighted quota A/B (cost-model term 1) reuses the governed
-/// acceptance workload with a deliberately *tight* budget — at the default
-/// 64 MiB the quotas never bind, so the split policy would be unobservable.
-/// Tight means a small multiple of the validation floor: admission quotas
-/// genuinely park producers and the re-split has something to re-balance.
+/// The tight-budget row reuses the governed acceptance workload with a
+/// deliberately *tight* budget — at the default 64 MiB the demand-weighted
+/// quotas never bind. Tight means a small multiple of the validation floor:
+/// admission quotas genuinely park producers and the re-split has something
+/// to re-balance.
 const DEMAND_QUOTA_BUDGET_FLOORS: u64 = 3;
 
-/// One governed-vs-ungoverned measurement.
+/// One staging measurement.
 #[derive(Debug, Clone)]
 pub struct StagingAbRow {
     /// Workload label.
@@ -30,25 +33,30 @@ pub struct StagingAbRow {
     pub budget_bytes: u64,
     /// Simulated seconds with byte-budget governance.
     pub governed_s: f64,
-    /// Simulated seconds without governance (PR 1 behaviour).
-    pub ungoverned_s: f64,
+    /// Simulated seconds without governance; `None` for the tight-budget
+    /// row, which has no ungoverned arm.
+    pub ungoverned_s: Option<f64>,
     /// Largest per-node peak of leased staging bytes in the governed run.
     pub peak_leased_bytes: u64,
-    /// Whether both runs produced byte-identical result rows.
+    /// Whether the governed run's rows equal the ungoverned run's (or, for
+    /// the tight-budget row, the reference executor's).
     pub rows_identical: bool,
-    /// What the two time fields measured — emitted into the JSON so the
-    /// committed artifact is self-describing (the demand-quota variant
-    /// reuses the fields with both sides governed).
+    /// What the time fields measured — emitted into the JSON so the
+    /// committed artifact is self-describing.
     pub note: &'static str,
 }
 
 impl StagingAbRow {
-    /// Relative overhead of governance, in percent (positive = slower).
-    pub fn overhead_pct(&self) -> f64 {
-        if self.ungoverned_s <= 0.0 {
-            return 0.0;
-        }
-        (self.governed_s / self.ungoverned_s - 1.0) * 100.0
+    /// Relative overhead of governance, in percent (positive = slower);
+    /// `None` without an ungoverned arm.
+    pub fn overhead_pct(&self) -> Option<f64> {
+        self.ungoverned_s.map(|ungoverned| {
+            if ungoverned <= 0.0 {
+                0.0
+            } else {
+                (self.governed_s / ungoverned - 1.0) * 100.0
+            }
+        })
     }
 }
 
@@ -66,15 +74,19 @@ impl StagingAbReport {
         let mut out = String::from("{\n  \"benchmark\": \"staging_governance_ab\",\n");
         out.push_str("  \"metric\": \"simulated_seconds\",\n  \"workloads\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
+            let ungoverned = match (row.ungoverned_s, row.overhead_pct()) {
+                (Some(s), Some(pct)) => {
+                    format!("\"ungoverned_s\": {s:.9}, \"overhead_pct\": {pct:.2}, ")
+                }
+                _ => String::new(),
+            };
             out.push_str(&format!(
                 "    {{\"workload\": \"{}\", \"budget_bytes\": {}, \"governed_s\": {:.9}, \
-                 \"ungoverned_s\": {:.9}, \"overhead_pct\": {:.2}, \"peak_leased_bytes\": {}, \
-                 \"rows_identical\": {}, \"note\": \"{}\"}}{}\n",
+                 {}\"peak_leased_bytes\": {}, \"rows_identical\": {}, \"note\": \"{}\"}}{}\n",
                 row.workload,
                 row.budget_bytes,
                 row.governed_s,
-                row.ungoverned_s,
-                row.overhead_pct(),
+                ungoverned,
                 row.peak_leased_bytes,
                 row.rows_identical,
                 row.note,
@@ -87,11 +99,11 @@ impl StagingAbReport {
 }
 
 /// The acceptance workload: join+reduce over `fact_rows` fact rows on
-/// `EngineConfig::hybrid(8, 2)` in pipelined mode, with and without the
+/// `EngineConfig::hybrid(8, 2)`, with and without the
 /// staging byte budget (same scale extrapolation as `pipeline_ab`).
 pub fn join_reduce_staging_ab(fact_rows: usize) -> Result<StagingAbRow> {
     let (engine, plan) = join_reduce_engine(fact_rows)?;
-    let mut base = EngineConfig::hybrid(8, 2).with_execution_mode(ExecutionMode::Pipelined);
+    let mut base = EngineConfig::hybrid(8, 2);
     base.scale_weight = 20_000.0;
     base.block_capacity = 2048;
     let base = base.with_table_weight("dim", 2_500.0);
@@ -104,7 +116,7 @@ pub fn join_reduce_staging_ab(fact_rows: usize) -> Result<StagingAbRow> {
         workload: format!("join_reduce_{}k_hybrid_8_2", fact_rows / 1000),
         budget_bytes: budget,
         governed_s: governed.seconds(),
-        ungoverned_s: ungoverned.seconds(),
+        ungoverned_s: Some(ungoverned.seconds()),
         peak_leased_bytes: governed
             .stats
             .staging_peaks
@@ -117,15 +129,12 @@ pub fn join_reduce_staging_ab(fact_rows: usize) -> Result<StagingAbRow> {
     })
 }
 
-/// Demand-weighted vs even staging quota split (cost-model term 1), both
-/// governed under a tight budget: `governed_s` is the demand-weighted run,
-/// `ungoverned_s` the even-split (PR 2) run. The acceptance bar mirrors the
-/// governance bar: demand weighting must stay within 5% of the even split
-/// on identical rows (its win is back-pressure fairness under skewed
-/// per-stage demand, not raw simulated time).
+/// The governed workload under a tight budget, where the demand-weighted
+/// staging quotas (cost-model term 1) genuinely bind: `governed_s` and the
+/// peak leased bytes, with rows checked against the reference executor.
 pub fn join_reduce_demand_quota_ab(fact_rows: usize) -> Result<StagingAbRow> {
     let (engine, plan) = join_reduce_engine(fact_rows)?;
-    let mut base = EngineConfig::hybrid(8, 2).with_execution_mode(ExecutionMode::Pipelined);
+    let mut base = EngineConfig::hybrid(8, 2);
     base.scale_weight = 20_000.0;
     base.block_capacity = 2048;
     let mut base = base.with_table_weight("dim", 2_500.0);
@@ -133,15 +142,11 @@ pub fn join_reduce_demand_quota_ab(fact_rows: usize) -> Result<StagingAbRow> {
     base.staging_bytes = Some(budget);
 
     let demand = engine.session().execute(&plan, &base)?;
-    let even = engine.session().execute(
-        &plan,
-        &base.clone().with_cost_model(base.cost_model.with_demand_weighted_quotas(false)),
-    )?;
     Ok(StagingAbRow {
         workload: format!("join_reduce_{}k_hybrid_8_2_demand_quota", fact_rows / 1000),
         budget_bytes: budget,
         governed_s: demand.seconds(),
-        ungoverned_s: even.seconds(),
+        ungoverned_s: None,
         peak_leased_bytes: demand
             .stats
             .staging_peaks
@@ -149,13 +154,13 @@ pub fn join_reduce_demand_quota_ab(fact_rows: usize) -> Result<StagingAbRow> {
             .map(|(_, peak)| *peak)
             .max()
             .unwrap_or(0),
-        rows_identical: demand.rows == even.rows,
-        note: "governed_s=demand-weighted split, ungoverned_s=even split (both governed)",
+        rows_identical: demand.rows == reference_execute(&plan, engine.catalog())?,
+        note: "governed_s=demand-weighted split under a tight budget",
     })
 }
 
 /// Run the A/B suite: the governed-vs-ungoverned acceptance workload plus
-/// the demand-weighted quota variant.
+/// the tight-budget row.
 pub fn run_all(fact_rows: usize) -> Result<StagingAbReport> {
     Ok(StagingAbReport {
         rows: vec![join_reduce_staging_ab(fact_rows)?, join_reduce_demand_quota_ab(fact_rows)?],
@@ -174,12 +179,12 @@ mod tests {
         // a lease (a non-zero peak within the budget).
         let row = join_reduce_staging_ab(200_000).unwrap();
         assert!(row.rows_identical, "governance must not change results");
+        let overhead = row.overhead_pct().unwrap();
         assert!(
-            row.overhead_pct() <= 5.0,
-            "governed {}s vs ungoverned {}s: overhead {:.2}% > 5%",
+            overhead <= 5.0,
+            "governed {}s vs ungoverned {:?}s: overhead {overhead:.2}% > 5%",
             row.governed_s,
             row.ungoverned_s,
-            row.overhead_pct()
         );
         assert!(row.peak_leased_bytes > 0, "no block was ever lease-backed");
         assert!(row.peak_leased_bytes <= row.budget_bytes, "peak exceeded the budget");
@@ -189,15 +194,17 @@ mod tests {
     fn demand_weighted_quotas_cost_at_most_5_percent_under_a_tight_budget() {
         // Cost-model term 1 acceptance: with admission quotas genuinely
         // binding (tight budget), the demand-weighted split stays within 5%
-        // of the even split with identical rows and a governed peak.
+        // of the default-budget governed run, with reference rows and a
+        // governed peak.
         let row = join_reduce_demand_quota_ab(200_000).unwrap();
+        let roomy = join_reduce_staging_ab(200_000).unwrap();
         assert!(row.rows_identical, "quota policy must not change results");
+        assert!(row.overhead_pct().is_none(), "the tight-budget row has no ungoverned arm");
         assert!(
-            row.overhead_pct() <= 5.0,
-            "demand-weighted {}s vs even {}s: overhead {:.2}% > 5%",
+            row.governed_s <= roomy.governed_s * 1.05,
+            "tight budget {}s vs default budget {}s: more than 5% slower",
             row.governed_s,
-            row.ungoverned_s,
-            row.overhead_pct()
+            roomy.governed_s
         );
         assert!(row.peak_leased_bytes > 0, "no block was ever lease-backed");
         assert!(row.peak_leased_bytes <= row.budget_bytes, "peak exceeded the budget");
@@ -210,14 +217,18 @@ mod tests {
                 workload: "w".into(),
                 budget_bytes: 1024,
                 governed_s: 1.05,
-                ungoverned_s: 1.0,
+                ungoverned_s: Some(1.0),
                 peak_leased_bytes: 512,
                 rows_identical: true,
                 note: "governed_s=a, ungoverned_s=b",
             }],
         };
+        let mut tight = report.rows[0].clone();
+        tight.ungoverned_s = None;
+        let report = StagingAbReport { rows: vec![report.rows[0].clone(), tight] };
         let json = report.to_json();
         assert!(json.contains("\"overhead_pct\": 5.00"));
+        assert_eq!(json.matches("\"ungoverned_s\":").count(), 1, "{json}");
         assert!(json.contains("\"peak_leased_bytes\": 512"));
         assert!(json.contains("\"rows_identical\": true"));
     }

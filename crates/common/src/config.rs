@@ -27,21 +27,6 @@ impl ExecutionTarget {
     }
 }
 
-/// How the executor schedules the stages of a compiled query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// All stages run concurrently; producers push block handles into the
-    /// consumer stage's asynchronous queues the moment each block is produced,
-    /// and routing / mem-move localization happen inline on the producer path
-    /// (§3.1's router-connected pipeline instances). This is the default.
-    #[default]
-    Pipelined,
-    /// Legacy stage-at-a-time scheduling: each stage fully materializes its
-    /// outputs before the next stage starts, and routing is a serial pre-pass.
-    /// Kept selectable for A/B comparison against the pipelined executor.
-    StageAtATime,
-}
-
 /// What the engine does with the findings of the pre-execution static
 /// analysis pass (the `hetex-analysis` crate) it runs over every compiled
 /// query.
@@ -125,108 +110,16 @@ impl KernelMode {
     }
 }
 
-/// Per-term toggles of the unified routing/admission/steal cost model
-/// (`hetex-core`'s `CostModel`).
-///
-/// PRs 1–3 grew estimation logic organically — an arena-occupancy penalty in
-/// the router, an even per-queue staging quota split, a gate term fed by the
-/// dependency's committed load, a clock-based steal profitability check —
-/// and each closed with a named estimation gap. The cost model consolidates
-/// all of it behind one API and ships the four refinements below; each is
-/// individually toggleable so differential tests can isolate each term's
-/// contribution (all-off reproduces the PR 3 behaviour exactly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostModelConfig {
-    /// Term 1 — staging quota shares follow observed per-queue demand
-    /// (EWMA of admitted bytes, re-split on a cadence) instead of the even
-    /// `budget / consumers_on_node` split.
-    pub demand_weighted_quotas: bool,
-    /// Term 2 — each cross-node queue push (a remote queue mutex
-    /// acquisition) is priced into the consumer's node-axis load, so
-    /// control-plane traffic is no longer free when the data plane is.
-    pub control_plane_term: bool,
-    /// Term 3 — a gated stage's opening time is estimated from the
-    /// dependency's *critical path* (the slowest transitive feed's committed
-    /// load included), not only the dependency's own committed device load.
-    pub gate_critical_path: bool,
-    /// Term 4 — outstanding DMA backlog on the relocation route (per-link)
-    /// is folded into the steal profitability check, so a rescue that would
-    /// queue behind saturated links is priced honestly.
-    pub link_congestion_term: bool,
-    /// Term 5 — routing block-cost estimates price CPU blocks with the
-    /// chunk/selection cost shape of the *executed* kernel mode instead of
-    /// always assuming per-tuple dispatch. Off, estimates fall back to the
-    /// tuple-at-a-time shape (the pre-vectorization behaviour), overcharging
-    /// vectorized blocks uniformly — rows are unaffected either way.
-    pub vectorized_cost: bool,
-}
-
-impl Default for CostModelConfig {
-    fn default() -> Self {
-        Self {
-            demand_weighted_quotas: true,
-            control_plane_term: true,
-            gate_critical_path: true,
-            link_congestion_term: true,
-            vectorized_cost: true,
-        }
-    }
-}
-
-impl CostModelConfig {
-    /// Every refinement disabled — the PR 3 estimation behaviour, the
-    /// baseline the differential tests toggle against.
-    pub fn disabled() -> Self {
-        Self {
-            demand_weighted_quotas: false,
-            control_plane_term: false,
-            gate_critical_path: false,
-            link_congestion_term: false,
-            vectorized_cost: false,
-        }
-    }
-
-    /// Toggle the demand-weighted staging quota term.
-    pub fn with_demand_weighted_quotas(mut self, on: bool) -> Self {
-        self.demand_weighted_quotas = on;
-        self
-    }
-
-    /// Toggle the cross-node control-plane term.
-    pub fn with_control_plane_term(mut self, on: bool) -> Self {
-        self.control_plane_term = on;
-        self
-    }
-
-    /// Toggle the critical-path gate estimate.
-    pub fn with_gate_critical_path(mut self, on: bool) -> Self {
-        self.gate_critical_path = on;
-        self
-    }
-
-    /// Toggle the link-congestion steal term.
-    pub fn with_link_congestion_term(mut self, on: bool) -> Self {
-        self.link_congestion_term = on;
-        self
-    }
-
-    /// Toggle the kernel-mode-aware block-cost estimate.
-    pub fn with_vectorized_cost(mut self, on: bool) -> Self {
-        self.vectorized_cost = on;
-        self
-    }
-}
-
 /// Toggles of the online-calibration subsystem (`hetex-core`'s
 /// `Calibration` machinery): the estimate→observe→correct loop that feeds
 /// *measured* device and interconnect behaviour back into routing
 /// projections, instead of trusting declared profiles forever.
 ///
-/// The cost-model toggles ([`CostModelConfig`]) select which estimation
-/// *terms* exist; this group selects where their *inputs* come from. Both
-/// default on; `CalibrationConfig::disabled()` reproduces the pre-calibration
-/// (PR 4) behaviour bit-for-bit — nominal device speeds, the QPI-default
-/// control-plane constant and the declared PCIe link widths.
+/// The cost model's estimation terms are fixed; this group selects where
+/// their *inputs* come from. Every input defaults on;
+/// `CalibrationConfig::disabled()` reproduces the pre-calibration behaviour
+/// bit-for-bit — nominal device speeds, the QPI-default control-plane
+/// constant and the declared PCIe link widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CalibrationConfig {
     /// Feed each device's observed-slowdown EWMA (charged vs nominal busy
@@ -472,20 +365,10 @@ pub const DEFAULT_SERVE_ADMISSION_BYTES: u64 = 4 * DEFAULT_STAGING_BYTES;
 /// every successful run distills a `PlanFeedback` record into the engine's
 /// (or server's) feedback cache, and a repeated query's second run searches
 /// the placement/DOP plan space costed by that record's measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReoptConfig {
     /// Master switch of the re-optimization loop.
     pub enabled: bool,
-    /// Search over the device-placement axis (`CpuOnly`/`GpuOnly`/`Hybrid`).
-    /// Off, candidates keep the submitted configuration's target.
-    pub search_target: bool,
-    /// Search over the degree-of-parallelism axis (CPU ladder, GPU counts).
-    /// Off, candidates keep the submitted configuration's DOPs.
-    pub search_dop: bool,
-    /// Minimum estimated relative gain (0.05 = 5%) a candidate must show
-    /// over the incumbent before the reoptimizer rewrites the plan. Guards
-    /// against churning the placement on estimation noise.
-    pub min_gain: f64,
 }
 
 impl Default for ReoptConfig {
@@ -497,41 +380,14 @@ impl Default for ReoptConfig {
 impl ReoptConfig {
     /// Re-optimization switched off — the default, frozen-plan behaviour.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            search_target: true,
-            search_dop: true,
-            min_gain: DEFAULT_REOPT_MIN_GAIN,
-        }
+        Self { enabled: false }
     }
 
-    /// The full loop switched on: both search axes and the default gain bar.
+    /// The loop switched on.
     pub fn enabled() -> Self {
-        Self { enabled: true, ..Self::disabled() }
-    }
-
-    /// Toggle the device-placement search axis.
-    pub fn with_search_target(mut self, on: bool) -> Self {
-        self.search_target = on;
-        self
-    }
-
-    /// Toggle the degree-of-parallelism search axis.
-    pub fn with_search_dop(mut self, on: bool) -> Self {
-        self.search_dop = on;
-        self
-    }
-
-    /// Set the minimum estimated relative gain required to replan.
-    pub fn with_min_gain(mut self, min_gain: f64) -> Self {
-        self.min_gain = min_gain;
-        self
+        Self { enabled: true }
     }
 }
-
-/// Default minimum estimated relative gain (5%) the reoptimizer requires
-/// before rewriting a placement.
-pub const DEFAULT_REOPT_MIN_GAIN: f64 = 0.05;
 
 /// Initial placement of base-table data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -567,25 +423,15 @@ pub struct EngineConfig {
     /// with the scale factor (the `date` dimension has a fixed size, `part`
     /// grows logarithmically), so the harness sets one weight per table.
     pub table_weights: Vec<(String, f64)>,
-    /// How stages are scheduled by the executor.
-    pub execution_mode: ExecutionMode,
-    /// Bound (in blocks) of each consumer queue in pipelined mode; producers
-    /// block once a queue is full. This is a control-plane cap on *handles*;
-    /// the data-plane bound on staged *bytes* is `staging_bytes`. `None`
-    /// leaves queues unbounded.
-    pub queue_capacity: Option<usize>,
-    /// Per-memory-node staging byte budget in pipelined mode (§4.3). Every
-    /// block admitted into a consumer queue is backed by a `BlockLease` of its
-    /// byte size drawn from the destination node's arena, so large blocks
-    /// count for more and back-pressure reflects real staging memory. `None`
-    /// disables byte governance (PR 1 behaviour: handle-count bounds only).
+    /// Per-memory-node staging byte budget (§4.3). Every block admitted into
+    /// a consumer queue is backed by a `BlockLease` of its byte size drawn
+    /// from the destination node's arena, so large blocks count for more and
+    /// back-pressure reflects real staging memory. `None` disables byte
+    /// governance (handle-count bounds only).
     pub staging_bytes: Option<u64>,
     /// Adaptive re-routing policy of the pipelined executor: whether idle
     /// workers steal queued blocks from overloaded same-stage siblings.
     pub steal_policy: StealPolicy,
-    /// Per-term toggles of the unified cost model driving routing
-    /// projections, staging quota splits and steal profitability.
-    pub cost_model: CostModelConfig,
     /// Online-calibration toggles: whether routing projections consume the
     /// observed-slowdown feedback and the probed topology constants.
     pub calibration: CalibrationConfig,
@@ -623,11 +469,8 @@ impl Default for EngineConfig {
             hetexchange_enabled: true,
             scale_weight: 1.0,
             table_weights: Vec::new(),
-            execution_mode: ExecutionMode::default(),
-            queue_capacity: Some(DEFAULT_QUEUE_CAPACITY),
             staging_bytes: Some(DEFAULT_STAGING_BYTES),
             steal_policy: StealPolicy::default(),
-            cost_model: CostModelConfig::default(),
             calibration: CalibrationConfig::default(),
             fault: FaultConfig::default(),
             kernel_mode: KernelMode::default(),
@@ -638,7 +481,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Default bound (in blocks) of each pipelined consumer queue.
+/// Bound (in blocks) of each pipelined consumer queue: producers block once
+/// a queue is full. A control-plane cap on *handles*; the data-plane bound
+/// on staged *bytes* is `EngineConfig::staging_bytes`.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 16;
 
 /// Default per-memory-node staging byte budget (64 MiB). Generous relative to
@@ -691,12 +536,6 @@ impl EngineConfig {
         self
     }
 
-    /// Select the executor's stage-scheduling mode.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
-        self
-    }
-
     /// Set (or disable, with `None`) the per-node staging byte budget.
     pub fn with_staging_bytes(mut self, bytes: Option<u64>) -> Self {
         self.staging_bytes = bytes;
@@ -706,12 +545,6 @@ impl EngineConfig {
     /// Select the pipelined executor's work-stealing policy.
     pub fn with_steal_policy(mut self, policy: StealPolicy) -> Self {
         self.steal_policy = policy;
-        self
-    }
-
-    /// Select which cost-model terms are active.
-    pub fn with_cost_model(mut self, cost_model: CostModelConfig) -> Self {
-        self.cost_model = cost_model;
         self
     }
 
@@ -805,9 +638,6 @@ impl EngineConfig {
             _ if self.scale_weight <= 0.0 => {
                 Err(HetError::Config("scale_weight must be positive".into()))
             }
-            _ if self.queue_capacity == Some(0) => {
-                Err(HetError::Config("queue_capacity must be positive when bounded".into()))
-            }
             _ if self.serve.enabled && self.serve.workers == 0 => {
                 Err(HetError::Config("serving requires at least one worker".into()))
             }
@@ -822,15 +652,6 @@ impl EngineConfig {
                      configuration (estimated peak staging footprint {} bytes per node)",
                     self.serve.effective_admission_bytes(),
                     self.est_serve_footprint_bytes()
-                )))
-            }
-            _ if self.reopt.enabled
-                && !(self.reopt.min_gain.is_finite()
-                    && (0.0..1.0).contains(&self.reopt.min_gain)) =>
-            {
-                Err(HetError::Config(format!(
-                    "reopt min_gain must be a finite fraction in [0, 1), got {}",
-                    self.reopt.min_gain
                 )))
             }
             _ if self.staging_bytes.is_some_and(|b| b < self.min_staging_bytes()) => {
@@ -948,18 +769,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Select the executor's stage-scheduling mode.
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.config.execution_mode = mode;
-        self
-    }
-
-    /// Set (or unbound, with `None`) the per-queue handle capacity.
-    pub fn queue_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
     /// Set (or disable, with `None`) the per-node staging byte budget.
     pub fn staging_bytes(mut self, bytes: Option<u64>) -> Self {
         self.config.staging_bytes = bytes;
@@ -969,12 +778,6 @@ impl EngineConfigBuilder {
     /// Select the pipelined executor's work-stealing policy.
     pub fn steal_policy(mut self, policy: StealPolicy) -> Self {
         self.config.steal_policy = policy;
-        self
-    }
-
-    /// Select which cost-model terms are active.
-    pub fn cost_model(mut self, cost_model: CostModelConfig) -> Self {
-        self.config.cost_model = cost_model;
         self
     }
 
@@ -1096,29 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_defaults_on_and_toggles_individually() {
-        let cfg = EngineConfig::default();
-        assert_eq!(cfg.cost_model, CostModelConfig::default());
-        assert!(cfg.cost_model.demand_weighted_quotas);
-        assert!(cfg.cost_model.control_plane_term);
-        assert!(cfg.cost_model.gate_critical_path);
-        assert!(cfg.cost_model.link_congestion_term);
-        assert!(cfg.cost_model.vectorized_cost);
-        let off = CostModelConfig::disabled();
-        assert!(!off.demand_weighted_quotas && !off.link_congestion_term);
-        assert!(!off.vectorized_cost);
-        let vec_only = CostModelConfig::disabled().with_vectorized_cost(true);
-        assert!(vec_only.vectorized_cost && !vec_only.demand_weighted_quotas);
-        // Each term toggles independently of the others.
-        let one = CostModelConfig::disabled().with_gate_critical_path(true);
-        assert!(one.gate_critical_path);
-        assert!(!one.control_plane_term && !one.demand_weighted_quotas);
-        let cfg = cfg.with_cost_model(off);
-        assert_eq!(cfg.cost_model, CostModelConfig::disabled());
-        cfg.validate().unwrap();
-    }
-
-    #[test]
     fn calibration_defaults_on_and_toggles_individually() {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.calibration, CalibrationConfig::default());
@@ -1237,24 +1017,12 @@ mod tests {
         assert_eq!(cfg.reopt, ReoptConfig::disabled());
         assert!(!cfg.reopt.enabled);
         cfg.validate().unwrap();
-        // Switched on: both axes searched, default gain bar.
+        // Switched on, the loop is valid under the default configuration
+        // and leaves every other knob as it was.
         let on = EngineConfig::default().with_reopt(ReoptConfig::enabled());
-        assert!(on.reopt.enabled && on.reopt.search_target && on.reopt.search_dop);
-        assert_eq!(on.reopt.min_gain, DEFAULT_REOPT_MIN_GAIN);
+        assert!(on.reopt.enabled);
+        assert_eq!(EngineConfig { reopt: ReoptConfig::disabled(), ..on.clone() }, cfg);
         on.validate().unwrap();
-        // Axes toggle independently.
-        let tuned = ReoptConfig::enabled().with_search_target(false).with_min_gain(0.2);
-        assert!(tuned.enabled && !tuned.search_target && tuned.search_dop);
-        assert_eq!(tuned.min_gain, 0.2);
-        // Invalid gain bars are rejected — but only when enabled.
-        let bad = EngineConfig::default().with_reopt(ReoptConfig::enabled().with_min_gain(1.5));
-        assert_eq!(bad.validate().unwrap_err().category(), "config");
-        let nan =
-            EngineConfig::default().with_reopt(ReoptConfig::enabled().with_min_gain(f64::NAN));
-        assert!(nan.validate().is_err());
-        let off_bad =
-            EngineConfig::default().with_reopt(ReoptConfig::disabled().with_min_gain(9.0));
-        off_bad.validate().unwrap();
     }
 
     #[test]
@@ -1298,11 +1066,8 @@ mod tests {
             .block_capacity(512)
             .scale_weight(10.0)
             .table_weight("dim", 2.0)
-            .execution_mode(ExecutionMode::Pipelined)
-            .queue_capacity(Some(8))
             .staging_bytes(None)
             .steal_policy(StealPolicy::Disabled)
-            .cost_model(CostModelConfig::disabled())
             .calibration(CalibrationConfig::disabled())
             .fault(FaultConfig::disabled())
             .kernel_mode(KernelMode::TupleAtATime)

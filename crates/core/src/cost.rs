@@ -8,9 +8,8 @@
 //! consolidates every estimation term behind one calibrated interface —
 //! the executor's router path, queue-admission path and steal path contain
 //! no penalty arithmetic of their own any more, they *ask* the
-//! [`CostModel`] — and ships the four ROADMAP refinements, each
-//! individually toggleable through
-//! [`CostModelConfig`](hetex_common::CostModelConfig):
+//! [`CostModel`] — and prices five refinements over the even-split,
+//! gate-blind baseline:
 //!
 //! 1. **Demand-weighted staging quotas** ([`CostModel::split_node_budget`],
 //!    [`DemandSplitter`]) — per-queue byte shares follow an EWMA of
@@ -27,8 +26,11 @@
 //!    [`CostModel::steal_profitable`]) — a rescue whose relocation must
 //!    queue behind outstanding DMA on the route is priced honestly, so
 //!    near-equilibrium steals stay safe with stealing enabled.
+//! 5. **Kernel-mode-aware block costs** ([`CostModel::estimate_kernel_mode`])
+//!    — CPU block estimates use the cost shape of the kernel mode the CPU
+//!    lowering executes, so vectorized blocks are not overcharged.
 //!
-//! On top of the four terms sits the **`Calibration` subsystem** (PR 5),
+//! On top of the five terms sits the **`Calibration` subsystem**,
 //! which closes the estimate→observe→correct loop for *routing*, not just
 //! stealing, through two inputs toggled by
 //! [`CalibrationConfig`](hetex_common::CalibrationConfig):
@@ -51,9 +53,7 @@
 //! these per execution for estimation, so the two concerns cannot be mixed
 //! up.
 
-use hetex_common::{
-    CalibrationConfig, CostModelConfig, EngineConfig, KernelMode, MemoryNodeId, Priority,
-};
+use hetex_common::{CalibrationConfig, EngineConfig, KernelMode, MemoryNodeId, Priority};
 use hetex_topology::{CalibratedConstants, LinkSpec, ServerTopology};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,7 +119,7 @@ pub struct StealQuery {
     /// The thief's observed average charged cost per block.
     pub thief_avg_ns: u64,
     /// Outstanding DMA backlog on the relocation route (0 when the thief
-    /// can address the block in place, or when the congestion term is off).
+    /// can address the block in place).
     pub congestion_ns: u64,
 }
 
@@ -195,52 +195,34 @@ impl SlowdownObserver {
 /// [`SlowdownObserver`] this model reads.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    cfg: CostModelConfig,
     calib: CalibrationConfig,
     kernel_mode: KernelMode,
     constants: Option<Arc<CalibratedConstants>>,
     observer: Option<Arc<SlowdownObserver>>,
 }
 
+/// A model with no calibration inputs (nominal profiles, declared
+/// constants) that prices CPU blocks at the tuple-at-a-time shape.
 impl Default for CostModel {
     fn default() -> Self {
-        Self::new(CostModelConfig::default())
-    }
-}
-
-impl CostModel {
-    /// A cost model with the given term toggles and no calibration inputs
-    /// (nominal profiles, declared constants).
-    pub fn new(cfg: CostModelConfig) -> Self {
         Self {
-            cfg,
             calib: CalibrationConfig::disabled(),
             kernel_mode: KernelMode::TupleAtATime,
             constants: None,
             observer: None,
         }
     }
+}
 
-    /// The cost model an engine configuration selects: the config's term
-    /// toggles plus its calibration toggles and the configured CPU kernel
-    /// mode (consumed by [`Self::estimate_kernel_mode`]). The calibration
-    /// *inputs* (the probed constants, the per-execution observer) are
-    /// attached by the executor via [`Self::with_constants`] /
-    /// [`Self::with_observer`]; until they are, a toggled-on input degrades
-    /// to the nominal behaviour.
+impl CostModel {
+    /// The cost model an engine configuration selects: its calibration
+    /// toggles and the configured CPU kernel mode (the shape block-cost
+    /// estimates price CPU work at). The calibration *inputs* (the probed
+    /// constants, the per-execution observer) are attached by the executor
+    /// via [`Self::with_constants`] / [`Self::with_observer`]; until they
+    /// are, a toggled-on input degrades to the nominal behaviour.
     pub fn from_config(config: &EngineConfig) -> Self {
-        Self {
-            calib: config.calibration,
-            kernel_mode: config.kernel_mode,
-            ..Self::new(config.cost_model)
-        }
-    }
-
-    /// A model with every refinement off — the PR 3 estimation behaviour
-    /// (used by the legacy stage-at-a-time executor, which must stay a
-    /// bit-stable differential baseline).
-    pub fn legacy() -> Self {
-        Self::new(CostModelConfig::disabled())
+        Self { calib: config.calibration, kernel_mode: config.kernel_mode, ..Self::default() }
     }
 
     /// Attach the topology micro-probe's measured constants (consumed only
@@ -260,31 +242,17 @@ impl CostModel {
         self
     }
 
-    /// The active term toggles.
-    pub fn config(&self) -> CostModelConfig {
-        self.cfg
-    }
-
     /// The active calibration toggles.
     pub fn calibration(&self) -> CalibrationConfig {
         self.calib
     }
 
-    /// The kernel mode block-cost *estimates* should price CPU work at.
-    ///
-    /// With the `vectorized_cost` term on, estimates use the mode the CPU
-    /// lowering will actually execute (chunked selection-vector dispatch is
-    /// cheaper per tuple, so charging the tuple-at-a-time shape would
-    /// overcharge vectorized blocks and skew routing toward the GPU).
-    /// Toggled off — including [`Self::legacy`], whose config disables every
-    /// term — estimates fall back to the tuple-at-a-time shape, the
-    /// bit-stable pre-vectorization baseline.
+    /// The kernel mode block-cost *estimates* price CPU work at: the mode
+    /// the CPU lowering will actually execute (chunked selection-vector
+    /// dispatch is cheaper per tuple, so charging the tuple-at-a-time shape
+    /// would overcharge vectorized blocks and skew routing toward the GPU).
     pub fn estimate_kernel_mode(&self) -> KernelMode {
-        if self.cfg.vectorized_cost {
-            self.kernel_mode
-        } else {
-            KernelMode::TupleAtATime
-        }
+        self.kernel_mode
     }
 
     // ------------------------------------------------------------------
@@ -374,15 +342,15 @@ impl CostModel {
 
     /// Control-plane cost of pushing one block handle to a consumer: the
     /// per-acquisition charge when the producer's node and the consumer's
-    /// node differ (the push acquires a remote queue mutex), zero otherwise
-    /// or when the term is toggled off. Charged on the consumer's *node*
+    /// node differ (the push acquires a remote queue mutex), zero otherwise.
+    /// Charged on the consumer's *node*
     /// axis — it is traffic on the path to that node's memory, not work on
     /// the consumer's device. With `calibration.measured_constants` on (and
     /// the probe's constants attached) the charge is the topology's
     /// *measured* cross-socket round trip instead of the
     /// [`REMOTE_CONTROL_PLANE_NS`] QPI default.
     pub fn control_plane_ns(&self, remote: bool) -> u64 {
-        if !(remote && self.cfg.control_plane_term) {
+        if !remote {
             return 0;
         }
         match &self.constants {
@@ -440,16 +408,15 @@ impl CostModel {
 
     /// Estimated opening time of a stage's dependency gate: the partial
     /// floor of already-completed dependencies (`floor_ns`) combined with
-    /// the committed load of each still-running dependency. With the
-    /// critical-path term on, a dependency's estimate is the maximum over
-    /// its whole transitive *feed chain* (`feeds[p] == Some(s)` meaning
+    /// the committed load of each still-running dependency. A dependency's
+    /// estimate is the maximum over its whole transitive *feed chain* (`feeds[p] == Some(s)` meaning
     /// stage `p` produces into stage `s`): a build fed by a slow scan
     /// cannot complete before that scan's backlog clears, no matter how
     /// little work the build itself has committed yet.
     ///
     /// `load_of(stage)` is a lookup (not a pre-built slice): this runs on
-    /// the per-block routing hot path, and with the term off only the
-    /// dependencies themselves are ever read.
+    /// the per-block routing hot path and reads only the stages on the
+    /// dependencies' feed chains.
     pub fn gate_estimate_ns(
         &self,
         deps: &[usize],
@@ -459,12 +426,7 @@ impl CostModel {
     ) -> u64 {
         let mut ns = floor_ns;
         for &dep in deps {
-            let dep_ns = if self.cfg.gate_critical_path {
-                Self::critical_path_ns(dep, load_of, feeds, 0)
-            } else {
-                load_of(dep)
-            };
-            ns = ns.max(dep_ns);
+            ns = ns.max(Self::critical_path_ns(dep, load_of, feeds, 0));
         }
         ns
     }
@@ -505,8 +467,8 @@ impl CostModel {
     /// Outstanding DMA backlog, in nanoseconds past `horizon_ns`, on the
     /// route between two memory nodes: the slowest link of the route frees
     /// only at its clock's current reservation end, and a relocation issued
-    /// at the horizon queues behind that backlog. Zero on idle links, when
-    /// source and destination coincide, or when the term is toggled off.
+    /// at the horizon queues behind that backlog. Zero on idle links or when
+    /// source and destination coincide.
     pub fn link_congestion_ns(
         &self,
         topology: &ServerTopology,
@@ -514,7 +476,7 @@ impl CostModel {
         to: MemoryNodeId,
         horizon_ns: u64,
     ) -> u64 {
-        if !self.cfg.link_congestion_term || from == to {
+        if from == to {
             return 0;
         }
         let Ok(route) = topology.route(from, to) else { return 0 };
@@ -538,7 +500,7 @@ impl CostModel {
         to: MemoryNodeId,
         horizon_ns: u64,
     ) -> f64 {
-        if !self.cfg.link_congestion_term || from == to {
+        if from == to {
             return 0.0;
         }
         let Ok(route) = topology.route(from, to) else { return 0.0 };
@@ -581,8 +543,8 @@ impl CostModel {
     /// the budget: the proportional remainder after floors goes to demand,
     /// and rounding dust lands on the hungriest queue. When the floors
     /// alone exceed the budget (more queues than validation's per-device
-    /// floor anticipated), or the term is toggled off, or no demand was
-    /// observed yet, the split degrades to the even PR 2 split.
+    /// floor anticipated), or no demand was observed yet, the split degrades
+    /// to the even split.
     pub fn split_node_budget(&self, budget: u64, floor: u64, demands: &[f64]) -> Vec<u64> {
         let n = demands.len() as u64;
         if n == 0 {
@@ -595,10 +557,7 @@ impl CostModel {
         // the whole budget (violating the sum-to-budget contract).
         let total_demand: f64 =
             demands.iter().copied().filter(|d| d.is_finite()).map(|d| d.max(0.0)).sum();
-        if !self.cfg.demand_weighted_quotas
-            || floor.saturating_mul(n) > budget
-            || total_demand <= 0.0
-        {
+        if floor.saturating_mul(n) > budget || total_demand <= 0.0 {
             return even();
         }
         let spread = budget - floor * n;
@@ -683,27 +642,18 @@ mod tests {
     }
 
     #[test]
-    fn estimate_kernel_mode_follows_config_gated_by_vectorized_cost_term() {
-        // Default config: vectorized kernels + vectorized_cost term on, so
-        // estimates price the executed mode.
+    fn estimate_kernel_mode_follows_the_configured_kernel_mode() {
+        // Default config: vectorized kernels, so estimates price the
+        // executed mode.
         let config = EngineConfig::default();
         assert_eq!(CostModel::from_config(&config).estimate_kernel_mode(), KernelMode::Vectorized);
 
-        // Term toggled off: estimates fall back to the tuple-at-a-time shape
-        // even though execution stays vectorized.
-        let toggled =
-            EngineConfig { cost_model: config.cost_model.with_vectorized_cost(false), ..config };
-        assert_eq!(
-            CostModel::from_config(&toggled).estimate_kernel_mode(),
-            KernelMode::TupleAtATime
-        );
-
-        // Legacy kernels estimate as legacy regardless of the term.
+        // Tuple-at-a-time kernels estimate at the tuple-at-a-time shape.
         let taat = EngineConfig::default().with_kernel_mode(KernelMode::TupleAtATime);
         assert_eq!(CostModel::from_config(&taat).estimate_kernel_mode(), KernelMode::TupleAtATime);
 
-        // The legacy model (stage-at-a-time baseline) never prices vectorized.
-        assert_eq!(CostModel::legacy().estimate_kernel_mode(), KernelMode::TupleAtATime);
+        // A bare model carries no kernel mode and prices per tuple.
+        assert_eq!(CostModel::default().estimate_kernel_mode(), KernelMode::TupleAtATime);
     }
 
     #[test]
@@ -711,9 +661,6 @@ mod tests {
         let model = all_on();
         assert_eq!(model.control_plane_ns(false), 0);
         assert_eq!(model.control_plane_ns(true), REMOTE_CONTROL_PLANE_NS);
-        // Toggled off, remote pushes are free again (PR 3 behaviour).
-        let legacy = CostModel::legacy();
-        assert_eq!(legacy.control_plane_ns(true), 0);
     }
 
     #[test]
@@ -770,8 +717,9 @@ mod tests {
         // heavily backlogged: the gate cannot open before the scan clears.
         let loads = vec![9_000, 1_000, 0];
         assert_eq!(model.gate_estimate_ns(&[1], 0, &load_of(&loads), &feeds), 9_000);
-        // Legacy estimate sees only the dependency's own committed load.
-        assert_eq!(CostModel::legacy().gate_estimate_ns(&[1], 0, &load_of(&loads), &feeds), 1_000);
+        // Without a backlogged feed the dependency's own load is the estimate.
+        let idle_feed = vec![0, 1_000, 0];
+        assert_eq!(model.gate_estimate_ns(&[1], 0, &load_of(&idle_feed), &feeds), 1_000);
         // The already-open floor still dominates when larger.
         assert_eq!(model.gate_estimate_ns(&[1], 20_000, &load_of(&loads), &feeds), 20_000);
     }
@@ -810,10 +758,8 @@ mod tests {
         let congested = model.link_congestion_ns(&topology, cpu, gpu, 0);
         assert!(congested > 0, "a scheduled transfer must back the link up");
         assert!(model.outstanding_link_bytes(&topology, cpu, gpu, 0) > 1e9);
-        // A horizon past the backlog sees the link idle again…
+        // A horizon past the backlog sees the link idle again.
         assert_eq!(model.link_congestion_ns(&topology, cpu, gpu, congested), 0);
-        // …and the toggled-off model never prices it.
-        assert_eq!(CostModel::legacy().link_congestion_ns(&topology, cpu, gpu, 0), 0);
         topology.reset_clocks();
     }
 
@@ -898,15 +844,10 @@ mod tests {
     #[test]
     fn demand_split_degrades_to_even_when_it_cannot_do_better() {
         let model = all_on();
-        // Floors exceeding the budget: even split (PR 2 behaviour).
+        // Floors exceeding the budget: even split.
         assert_eq!(model.split_node_budget(1_000, 600, &[1.0, 1.0]), vec![500, 500]);
         // No observed demand yet: even split.
         assert_eq!(model.split_node_budget(900, 100, &[0.0, 0.0, 0.0]), vec![300, 300, 300]);
-        // Toggled off: even split regardless of demand.
-        assert_eq!(
-            CostModel::legacy().split_node_budget(900, 100, &[800.0, 0.0, 0.0]),
-            vec![300, 300, 300]
-        );
         // Degenerate inputs stay safe.
         assert!(model.split_node_budget(1_000, 100, &[]).is_empty());
         assert_eq!(model.split_node_budget(0, 0, &[1.0]), vec![1]);
@@ -942,16 +883,13 @@ mod tests {
 
     #[test]
     fn construction_carries_the_configured_toggles() {
-        let model = all_on();
-        assert_eq!(model.config(), CostModelConfig::default());
-        assert_eq!(CostModel::legacy().config(), CostModelConfig::disabled());
+        // The engine default carries the calibration toggles; a bare model
+        // leaves calibration off (nominal profiles, declared constants).
         let from_config = CostModel::from_config(&EngineConfig::default());
-        assert!(from_config.config().gate_critical_path);
-        // The engine default also carries the calibration toggles; a bare
-        // `new` leaves calibration off (the PR 4 behaviour).
-        assert!(from_config.calibration().slowdown_feedback);
-        assert!(!model.calibration().measured_constants);
-        assert_eq!(CostModel::legacy().calibration(), CalibrationConfig::disabled());
+        assert_eq!(from_config.calibration(), CalibrationConfig::default());
+        assert_eq!(all_on().calibration(), CalibrationConfig::disabled());
+        let nominal = EngineConfig::default().with_calibration(CalibrationConfig::disabled());
+        assert_eq!(CostModel::from_config(&nominal).calibration(), CalibrationConfig::disabled());
     }
 
     #[test]
@@ -1006,7 +944,7 @@ mod tests {
         let config = EngineConfig::default();
         let on = CostModel::from_config(&config).with_observer(Arc::clone(&observer));
         assert_eq!(on.observed_device_slowdown(0), 8.0);
-        // Toggle on, no observer (stage-at-a-time): nominal.
+        // Toggle on, no observer attached: nominal.
         assert_eq!(CostModel::from_config(&config).observed_device_slowdown(0), 1.0);
         // Recording through the model reaches the shared observer.
         on.observe(0, 1_000, 1_000);
@@ -1036,8 +974,5 @@ mod tests {
         let unattached = CostModel::from_config(&config);
         assert_eq!(unattached.control_plane_ns(true), REMOTE_CONTROL_PLANE_NS);
         assert_eq!(unattached.link_transfer_ns(link, 1e9), link.transfer_ns(1e9));
-        // The control-plane *term* toggle still gates the charge entirely.
-        let term_off = CostModel::new(CostModelConfig::disabled()).with_constants(constants);
-        assert_eq!(term_off.control_plane_ns(true), 0);
     }
 }

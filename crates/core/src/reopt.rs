@@ -23,7 +23,7 @@
 //! * [`candidates`] / [`reoptimize`] — the search: enumerate valid
 //!   placement/DOP combinations for the topology, cost each one from the
 //!   feedback record anchored to the *measured* incumbent time, and emit a
-//!   rewrite only when the estimated gain clears `ReoptConfig::min_gain`.
+//!   rewrite only when the estimated gain clears [`REOPT_MIN_GAIN`].
 //!
 //! Determinism boundaries: the search consumes only the feedback record, the
 //! topology's declared profiles and the [`CostModel`]'s calibrated constants
@@ -53,6 +53,11 @@ pub const FEEDBACK_EWMA_ALPHA: f64 = 0.5;
 /// for ranking candidates on one server. Matches the paper server's
 /// ~12 GB/s effective x16 Gen 3 links.
 pub const REOPT_PCIE_GBPS: f64 = 12.0;
+
+/// Minimum estimated relative gain (5%) a candidate must show over the
+/// incumbent before the reoptimizer rewrites the plan. Guards against
+/// churning the placement on estimation noise.
+pub const REOPT_MIN_GAIN: f64 = 0.05;
 
 /// FNV-1a over the plan's stable debug rendering: a fingerprint for "the
 /// same query submitted again". Stable within a build of the workspace
@@ -106,8 +111,7 @@ pub struct PlanFeedback {
     /// across repeated runs of the same placement).
     pub sim_time_ns: f64,
     /// Observed-slowdown EWMA per device slot, indexed like the topology's
-    /// device list (1.0 = healthy). Empty when the run carried no
-    /// observations (stage-at-a-time mode).
+    /// device list (1.0 = healthy).
     pub observed_slowdowns: Vec<f64>,
     /// Per-stage row counts and timelines (actual selectivities).
     pub stages: Vec<StageObservation>,
@@ -295,42 +299,28 @@ pub struct ReoptDecision {
     pub ranked: Vec<CandidateCost>,
 }
 
-/// Enumerate the plan space for `base` on `topology`, honouring the search
-/// axes of `base.reopt`: every placement (or only the incumbent's), a
-/// power-of-two CPU ladder up to the core count (or only the incumbent DOP),
-/// every GPU count (ditto). Only combinations that validate under the base
+/// Enumerate the plan space for `base` on `topology`: every placement, a
+/// power-of-two CPU ladder up to the core count (plus the incumbent DOP),
+/// every GPU count. Only combinations that validate under the base
 /// configuration survive — every candidate this function returns can be
 /// applied and executed as-is, which is the invariant the verifier proptest
 /// and `plan_lint`'s `reopt` target pin.
 pub fn candidates(base: &EngineConfig, topology: &ServerTopology) -> Vec<Candidate> {
-    let reopt = base.reopt;
     let cores = topology.cpu_cores().len();
     let gpus = topology.gpus().len();
     let incumbent = Candidate::of(base);
 
-    let targets: Vec<ExecutionTarget> = if reopt.search_target {
-        vec![ExecutionTarget::CpuOnly, ExecutionTarget::GpuOnly, ExecutionTarget::Hybrid]
-    } else {
-        vec![base.target]
-    };
-    let mut cpu_dops: Vec<usize> = if reopt.search_dop {
-        let mut ladder: Vec<usize> = std::iter::successors(Some(1usize), |d| d.checked_mul(2))
-            .take_while(|d| *d <= cores)
-            .collect();
-        if cores > 0 && !ladder.contains(&cores) {
-            ladder.push(cores);
-        }
-        ladder.push(base.cpu_dop);
-        ladder
-    } else {
-        vec![base.cpu_dop]
-    };
+    let targets = [ExecutionTarget::CpuOnly, ExecutionTarget::GpuOnly, ExecutionTarget::Hybrid];
+    let mut cpu_dops: Vec<usize> = std::iter::successors(Some(1usize), |d| d.checked_mul(2))
+        .take_while(|d| *d <= cores)
+        .collect();
+    if cores > 0 && !cpu_dops.contains(&cores) {
+        cpu_dops.push(cores);
+    }
+    cpu_dops.push(base.cpu_dop);
     cpu_dops.sort_unstable();
     cpu_dops.dedup();
-    let mut gpu_dops: Vec<usize> =
-        if reopt.search_dop { (0..=gpus).collect() } else { vec![base.gpu_dop] };
-    gpu_dops.sort_unstable();
-    gpu_dops.dedup();
+    let gpu_dops: Vec<usize> = (0..=gpus).collect();
 
     let mut out: Vec<Candidate> = Vec::new();
     for &target in &targets {
@@ -370,7 +360,7 @@ pub fn candidates(base: &EngineConfig, topology: &ServerTopology) -> Vec<Candida
 
 /// The search: cost every candidate from the feedback record, anchored to
 /// the measured incumbent time, and return a rewrite when a candidate beats
-/// the incumbent by at least `base.reopt.min_gain`. `None` means "keep the
+/// the incumbent by at least [`REOPT_MIN_GAIN`]. `None` means "keep the
 /// plan as submitted" — the search found nothing clearly better (or
 /// re-optimization is disabled, or the feedback carries no usable anchor).
 ///
@@ -448,7 +438,7 @@ pub fn reoptimize(
         return None;
     }
     let estimated_gain = 1.0 - best.estimated_ns / incumbent_ns;
-    if estimated_gain < base.reopt.min_gain {
+    if estimated_gain < REOPT_MIN_GAIN {
         return None;
     }
     Some(ReoptDecision { chosen: best.candidate, estimated_gain, incumbent_ns, ranked })
@@ -646,10 +636,6 @@ mod tests {
         for candidate in &space {
             candidate.apply(&base).validate().unwrap();
         }
-        // Axes off: the space collapses to the incumbent.
-        let frozen = EngineConfig::hybrid(8, 2)
-            .with_reopt(ReoptConfig::enabled().with_search_target(false).with_search_dop(false));
-        assert_eq!(candidates(&frozen, &topology), vec![Candidate::of(&frozen)]);
     }
 
     #[test]
@@ -672,7 +658,7 @@ mod tests {
             "the rewrite must drop the straggler GPU: {}",
             decision.chosen.label()
         );
-        assert!(decision.estimated_gain >= static_base.reopt.min_gain);
+        assert!(decision.estimated_gain >= REOPT_MIN_GAIN);
         assert!(!decision.ranked.is_empty());
         // The chosen plan is the best-ranked one.
         assert_eq!(decision.ranked[0].candidate, decision.chosen);
@@ -681,7 +667,7 @@ mod tests {
     #[test]
     fn reoptimize_is_quiet_without_enabled_or_signal() {
         let topology = ServerTopology::paper_server();
-        let cost = CostModel::legacy();
+        let cost = CostModel::default();
         // Disabled: never a decision, whatever the feedback says.
         let off = EngineConfig::hybrid(8, 2);
         let mut feedback = feedback_for(&off, &topology);

@@ -58,13 +58,8 @@ fn micro_probe_runs_once_per_engine() {
     {
         for _ in 0..3 {
             let outcome = engine.session().execute(&sum_where_plan(42), &config).unwrap();
-            let probed = outcome
-                .stats
-                .probed_constants
-                .as_ref()
-                .expect("pipelined runs report probed constants");
             assert!(
-                Arc::ptr_eq(probed, &reference),
+                Arc::ptr_eq(&outcome.stats.probed_constants, &reference),
                 "query re-probed the topology instead of reusing the engine's constants"
             );
         }
@@ -88,8 +83,10 @@ fn degraded_restarts_reuse_the_engine_probe() {
     let outcome =
         engine.session().execute(&sum_where_plan(42), &EngineConfig::gpu_only(2)).unwrap();
     assert!(outcome.stats.degraded_restarts >= 1, "the dead GPUs must force restarts");
-    let probed = outcome.stats.probed_constants.as_ref().unwrap();
-    assert!(Arc::ptr_eq(probed, &reference), "a degraded-restart attempt re-probed the topology");
+    assert!(
+        Arc::ptr_eq(&outcome.stats.probed_constants, &reference),
+        "a degraded-restart attempt re-probed the topology"
+    );
 }
 
 #[test]

@@ -8,7 +8,9 @@
 //! no name lookups or type dispatch.
 //!
 //! All SSB columns are integers after dictionary encoding, so expressions are
-//! evaluated in `i64`; booleans are represented as 0/1.
+//! evaluated in `i64`; booleans are represented as 0/1. Arithmetic wraps on
+//! overflow (two's complement, `i64::MIN / -1 = i64::MIN`) and `x / 0 = 0`,
+//! so evaluation is total and identical in debug and release builds.
 
 use hetex_common::{HetError, Result};
 
@@ -110,17 +112,10 @@ impl Expr {
         match self {
             Expr::Col(i) => regs[*i],
             Expr::Lit(v) => *v,
-            Expr::Add(a, b) => a.eval(regs) + b.eval(regs),
-            Expr::Sub(a, b) => a.eval(regs) - b.eval(regs),
-            Expr::Mul(a, b) => a.eval(regs) * b.eval(regs),
-            Expr::Div(a, b) => {
-                let d = b.eval(regs);
-                if d == 0 {
-                    0
-                } else {
-                    a.eval(regs) / d
-                }
-            }
+            Expr::Add(a, b) => a.eval(regs).wrapping_add(b.eval(regs)),
+            Expr::Sub(a, b) => a.eval(regs).wrapping_sub(b.eval(regs)),
+            Expr::Mul(a, b) => a.eval(regs).wrapping_mul(b.eval(regs)),
+            Expr::Div(a, b) => div_i64(a.eval(regs), b.eval(regs)),
             Expr::Eq(a, b) => (a.eval(regs) == b.eval(regs)) as i64,
             Expr::Ne(a, b) => (a.eval(regs) != b.eval(regs)) as i64,
             Expr::Lt(a, b) => (a.eval(regs) < b.eval(regs)) as i64,
@@ -173,12 +168,10 @@ impl Expr {
                 out.extend(sel.iter().map(|&r| src[r as usize]));
             }
             Expr::Lit(v) => out.resize(sel.len(), *v),
-            Expr::Add(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| x + y),
-            Expr::Sub(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| x - y),
-            Expr::Mul(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| x * y),
-            Expr::Div(a, b) => {
-                binary_batch(a, b, cols, sel, out, pool, |x, y| if y == 0 { 0 } else { x / y })
-            }
+            Expr::Add(a, b) => binary_batch(a, b, cols, sel, out, pool, i64::wrapping_add),
+            Expr::Sub(a, b) => binary_batch(a, b, cols, sel, out, pool, i64::wrapping_sub),
+            Expr::Mul(a, b) => binary_batch(a, b, cols, sel, out, pool, i64::wrapping_mul),
+            Expr::Div(a, b) => binary_batch(a, b, cols, sel, out, pool, div_i64),
             Expr::Eq(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| (x == y) as i64),
             Expr::Ne(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| (x != y) as i64),
             Expr::Lt(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| (x < y) as i64),
@@ -280,6 +273,19 @@ impl Expr {
     }
 }
 
+/// Integer division with the engine's total semantics: `x / 0 = 0`, and
+/// `i64::MIN / -1` wraps to `i64::MIN` like every other overflowing
+/// operation (two's-complement wrapping, the semantics of the device
+/// atomics that merge partial aggregates).
+#[inline]
+fn div_i64(x: i64, y: i64) -> i64 {
+    if y == 0 {
+        0
+    } else {
+        x.wrapping_div(y)
+    }
+}
+
 /// Evaluate both operands of a binary expression into dense lane buffers and
 /// combine them with `op` in one tight loop.
 #[inline]
@@ -357,6 +363,17 @@ mod tests {
         assert_eq!(Expr::col(0).gt_lit(9).eval(&regs), 1);
         assert_eq!(Expr::col(0).lt_lit(9).eval(&regs), 0);
         assert_eq!(Expr::col(1).eq(Expr::lit(3)).eval(&regs), 1);
+    }
+
+    #[test]
+    fn overflow_wraps_and_division_is_total() {
+        let regs = [i64::MAX, i64::MIN, -1, 0];
+        let div = |a: Expr, b: Expr| Expr::Div(Box::new(a), Box::new(b));
+        assert_eq!(Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::lit(1))).eval(&regs), i64::MIN);
+        assert_eq!(Expr::col(1).sub(Expr::lit(1)).eval(&regs), i64::MAX);
+        assert_eq!(Expr::col(0).mul(Expr::lit(2)).eval(&regs), -2);
+        assert_eq!(div(Expr::col(1), Expr::col(2)).eval(&regs), i64::MIN);
+        assert_eq!(div(Expr::col(1), Expr::col(3)).eval(&regs), 0);
     }
 
     #[test]

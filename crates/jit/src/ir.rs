@@ -58,22 +58,24 @@ impl AggFunc {
         }
     }
 
-    /// Combine an accumulator with a new input value.
+    /// Combine an accumulator with a new input value. Sums and counts wrap
+    /// on overflow, like the device atomics that merge partial aggregates,
+    /// so the result does not depend on how the input was partitioned.
     #[inline]
     pub fn accumulate(self, acc: i64, value: i64) -> i64 {
         match self {
-            AggFunc::Sum => acc + value,
-            AggFunc::Count => acc + 1,
+            AggFunc::Sum => acc.wrapping_add(value),
+            AggFunc::Count => acc.wrapping_add(1),
             AggFunc::Min => acc.min(value),
             AggFunc::Max => acc.max(value),
         }
     }
 
-    /// Merge two partial accumulators.
+    /// Merge two partial accumulators (wrapping, like [`Self::accumulate`]).
     #[inline]
     pub fn merge(self, a: i64, b: i64) -> i64 {
         match self {
-            AggFunc::Sum | AggFunc::Count => a + b,
+            AggFunc::Sum | AggFunc::Count => a.wrapping_add(b),
             AggFunc::Min => a.min(b),
             AggFunc::Max => a.max(b),
         }

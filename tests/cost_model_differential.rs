@@ -1,55 +1,45 @@
-//! Differential testing of the unified cost model (DESIGN.md §5).
+//! Differential testing of the unified cost model (DESIGN.md §5) against
+//! the reference executor.
 //!
 //! Every CostModel term — demand-weighted staging quotas, the cross-node
 //! control-plane charge, the critical-path gate estimate, the
-//! link-congestion steal term — only moves block handles between
-//! *equivalent* consumers of the same stage: none of them may ever change a
-//! query's result. This harness generates random server topologies (1–4
-//! sockets, 0–4 GPUs, random per-device slowdowns and PCIe link widths) and
-//! random small plans, then executes each plan pipelined under **every
-//! toggle configuration** (all-off, each term alone, all-on) and asserts the
-//! rows are byte-identical to the stage-at-a-time executor — the bit-stable
-//! legacy baseline that routes with every refinement off.
+//! link-congestion steal term, kernel-mode-aware block costs — only moves
+//! block handles between *equivalent* consumers of the same stage: none of
+//! them may ever change a query's result. This harness generates random
+//! server topologies (1–4 sockets, 0–4 GPUs, random per-device slowdowns
+//! and PCIe link widths) and random small plans, executes each plan under
+//! both **calibration states** (`CalibrationConfig::default()` and
+//! `CalibrationConfig::disabled()`: observed-slowdown feedback and the
+//! measured topology constants on or off) and asserts the rows are
+//! byte-identical to [`reference_execute`], the naive single-threaded
+//! oracle.
 //!
-//! PR 5 extends the sweep with the **calibration toggle group**
-//! (`CalibrationConfig`): observed-slowdown feedback routing and the
-//! measured topology constants each run isolated (on top of the all-off
-//! cost model) and combined in the all-on configuration. Neither input may
-//! change rows either — feedback only re-ranks equivalent consumers, and
-//! measured constants only re-price the same projections. The all-off
-//! configuration (every cost-model term *and* every calibration input off)
-//! remains byte-identical to the PR 4 baseline sweep: it runs exactly the
-//! pre-calibration code paths (integer projections, declared constants).
+//! The **kernel-mode axis** runs the same randomized scenario space with
+//! the CPU pipelines executing the vectorized (chunked selection-vector)
+//! lowering and the tuple-at-a-time loop, in both calibration states —
+//! plus a standalone property pinning the selection-vector refinement
+//! primitive (ordered-subset, monotone shrinking, in-bounds).
 //!
-//! PR 7 adds the **kernel-mode axis**: the same randomized scenario space
-//! must yield byte-identical rows whether the CPU pipelines execute the
-//! vectorized (chunked selection-vector) lowering or the legacy
-//! tuple-at-a-time loop, under both the all-off and the all-on toggle
-//! configurations — plus a standalone property pinning the selection-vector
-//! refinement primitive (ordered-subset, monotone shrinking, in-bounds).
-//!
-//! PR 10 adds the **re-optimization axis**: `ReoptConfig::disabled()` takes
-//! exactly the pre-reopt code path, an enabled run with a cold feedback
-//! cache applies no rewrite and matches the disabled run's rows and plan
-//! shape, and a warm-cache run may substitute a searched placement but must
+//! The **re-optimization axis**: `ReoptConfig::disabled()` takes exactly
+//! the pre-reopt code path, an enabled run with a cold feedback cache
+//! applies no rewrite and matches the disabled run's rows and plan shape,
+//! and a warm-cache run may substitute a searched placement but must
 //! preserve the rows byte-for-byte.
 //!
 //! Seeding: the vendored proptest derives a deterministic per-function seed
 //! from the property's name, so every run (local and CI) explores the same
 //! fixed case sequence and failures reproduce exactly. The case budget is
 //! `HETEX_DIFF_CASES` generated scenarios (default 48); each scenario runs
-//! nine pipelined toggle configurations against one stage-at-a-time
-//! baseline, i.e. 48 × 9 = 432 differential toggle-cases per default run
-//! (the acceptance bar is 256+), sized to keep the suite well under three
-//! minutes.
+//! two calibration states against the reference, i.e. 48 × 2 = 96
+//! differential cases per default run, and the kernel-mode property another
+//! 48 × 2 × 2 = 192.
 
 use hetexchange::common::{
-    CalibrationConfig, ColumnData, CostModelConfig, DataType, EngineConfig, ExecutionMode,
-    HetError, KernelMode,
+    CalibrationConfig, ColumnData, DataType, EngineConfig, HetError, KernelMode,
 };
 use hetexchange::core_ops::cost::{SlowdownObserver, SLOWDOWN_EWMA_ALPHA};
 use hetexchange::core_ops::RelNode;
-use hetexchange::engine::Proteus;
+use hetexchange::engine::{reference_execute, Proteus};
 use hetexchange::jit::{AggSpec, Expr};
 use hetexchange::storage::TableBuilder;
 use hetexchange::topology::{DeviceId, ServerTopology, TopologyBuilder};
@@ -62,29 +52,11 @@ fn case_budget() -> u32 {
     std::env::var("HETEX_DIFF_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(48)
 }
 
-/// Every toggle configuration the differential sweep runs: the PR 3
-/// baseline, each cost-model term isolated, each calibration input
-/// isolated, and the all-on default (every term and every input).
-fn toggle_configs() -> Vec<(&'static str, CostModelConfig, CalibrationConfig)> {
-    let off = CostModelConfig::disabled();
-    let calib_off = CalibrationConfig::disabled();
-    vec![
-        ("all_off", off, calib_off),
-        ("demand_quotas", off.with_demand_weighted_quotas(true), calib_off),
-        ("control_plane", off.with_control_plane_term(true), calib_off),
-        ("gate_critical_path", off.with_gate_critical_path(true), calib_off),
-        ("link_congestion", off.with_link_congestion_term(true), calib_off),
-        ("slowdown_feedback", off, calib_off.with_slowdown_feedback(true)),
-        ("measured_constants", off, calib_off.with_measured_constants(true)),
-        // The measured control-plane constant only matters where the term
-        // pricing it is on — exercise the interaction explicitly.
-        (
-            "control_plane_measured",
-            off.with_control_plane_term(true),
-            calib_off.with_measured_constants(true),
-        ),
-        ("all_on", CostModelConfig::default(), CalibrationConfig::default()),
-    ]
+/// The two calibration states every scenario runs under: every input on
+/// (the default) and every input off (nominal profiles, declared
+/// constants).
+fn calibration_states() -> [(&'static str, CalibrationConfig); 2] {
+    [("calibrated", CalibrationConfig::default()), ("nominal", CalibrationConfig::disabled())]
 }
 
 /// A random heterogeneous server: `sockets` sockets of `cores_per_socket`
@@ -173,11 +145,10 @@ fn random_plan(plan_pick: usize, filter_lit: i64) -> RelNode {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(case_budget()))]
 
-    /// The test-archetype centerpiece: across random topologies and plans,
-    /// pipelined execution under every cost-model toggle configuration
-    /// produces byte-identical rows to the stage-at-a-time baseline.
+    /// The centerpiece: across random topologies and plans, execution in
+    /// both calibration states produces the reference executor's rows.
     #[test]
-    fn prop_every_toggle_configuration_matches_stage_at_a_time(
+    fn prop_every_calibration_state_matches_the_reference(
         sockets in 1usize..5,
         cores_per_socket in 2usize..5,
         gpus in 0usize..5,
@@ -212,45 +183,36 @@ proptest! {
         // and the demand re-split genuinely engage.
         config.staging_bytes = Some(config.min_staging_bytes() * 2);
 
-        let baseline = engine
-            .session().execute(&plan, &config.clone().with_execution_mode(ExecutionMode::StageAtATime))
-            .unwrap();
+        let reference = reference_execute(&plan, engine.catalog()).unwrap();
 
-        for (label, toggles, calibration) in toggle_configs() {
+        for (label, calibration) in calibration_states() {
             let outcome = engine
-                .session().execute(
-                    &plan,
-                    &config.clone().with_cost_model(toggles).with_calibration(calibration),
-                )
+                .session().execute(&plan, &config.clone().with_calibration(calibration))
                 .unwrap();
             prop_assert_eq!(
-                &outcome.rows, &baseline.rows,
-                "toggle config `{}` changed the rows on sockets={} cores={} gpus={} \
-                 pcie={} slow=({}, {}) fact_rows={} plan={} dop=({}, {})",
+                &outcome.rows, &reference,
+                "calibration state `{}` diverged from the reference on sockets={} cores={} \
+                 gpus={} pcie={} slow=({}, {}) fact_rows={} plan={} dop=({}, {})",
                 label, sockets, cores_per_socket, gpus, pcie_gbps_x10, slow_pick,
                 slowdown_x10, fact_rows, plan_pick, cpu_dop, gpu_dop
             );
-            // Governed runs must also stay within the staging budget in
-            // every toggle configuration (the demand re-split may never
-            // oversubscribe the arena).
+            // Governed runs must also stay within the staging budget (the
+            // demand re-split may never oversubscribe the arena).
             for (node, peak) in &outcome.stats.staging_peaks {
                 prop_assert!(
                     *peak <= config.staging_bytes.unwrap(),
-                    "toggle config `{}`: node {} peaked at {} > budget {}",
+                    "calibration state `{}`: node {} peaked at {} > budget {}",
                     label, node, peak, config.staging_bytes.unwrap()
                 );
             }
         }
     }
 
-    /// The kernel-mode axis (PR 7): across the same randomized topology /
-    /// plan / config space, the vectorized CPU lowering and the legacy
-    /// tuple-at-a-time lowering must produce byte-identical rows — under
-    /// the all-off toggle configuration (the PR 3 estimation baseline) and
-    /// the all-on default (where the `vectorized_cost` term also reshapes
-    /// the routing estimates). The stage-at-a-time run under
-    /// `TupleAtATime` is the bit-stable legacy anchor all four pipelined
-    /// combinations are compared against.
+    /// The kernel-mode axis: across the same randomized topology / plan /
+    /// config space, the vectorized CPU lowering and the tuple-at-a-time
+    /// lowering must both produce the reference executor's rows, in both
+    /// calibration states (the kernel mode also reshapes the routing
+    /// estimates).
     #[test]
     fn prop_kernel_modes_produce_identical_rows(
         sockets in 1usize..4,
@@ -285,36 +247,21 @@ proptest! {
         config.block_capacity = 256;
         config.staging_bytes = Some(config.min_staging_bytes() * 2);
 
-        let baseline = engine
-            .session().execute(
-                &plan,
-                &config
-                    .clone()
-                    .with_execution_mode(ExecutionMode::StageAtATime)
-                    .with_kernel_mode(KernelMode::TupleAtATime),
-            )
-            .unwrap();
+        let reference = reference_execute(&plan, engine.catalog()).unwrap();
 
-        for (toggle_label, toggles, calibration) in [
-            ("all_off", CostModelConfig::disabled(), CalibrationConfig::disabled()),
-            ("all_on", CostModelConfig::default(), CalibrationConfig::default()),
-        ] {
+        for (calibration_label, calibration) in calibration_states() {
             for mode in [KernelMode::Vectorized, KernelMode::TupleAtATime] {
                 let outcome = engine
                     .session().execute(
                         &plan,
-                        &config
-                            .clone()
-                            .with_cost_model(toggles)
-                            .with_calibration(calibration)
-                            .with_kernel_mode(mode),
+                        &config.clone().with_calibration(calibration).with_kernel_mode(mode),
                     )
                     .unwrap();
                 prop_assert_eq!(
-                    &outcome.rows, &baseline.rows,
-                    "kernel mode {:?} under `{}` changed the rows on sockets={} cores={} \
+                    &outcome.rows, &reference,
+                    "kernel mode {:?} under `{}` diverged from the reference on sockets={} cores={} \
                      gpus={} pcie={} slow=({}, {}) fact_rows={} plan={} dop=({}, {})",
-                    mode, toggle_label, sockets, cores_per_socket, gpus, pcie_gbps_x10,
+                    mode, calibration_label, sockets, cores_per_socket, gpus, pcie_gbps_x10,
                     slow_pick, slowdown_x10, fact_rows, plan_pick, cpu_dop, gpu_dop
                 );
             }
@@ -431,7 +378,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(case_budget()))]
 
-    /// The serving toggle (PR 9) is inert on the single-query path:
+    /// The serving toggle is inert on the single-query path:
     /// attaching an enabled `ServeConfig` to a config changes nothing about
     /// a direct `execute` — byte-identical rows and the same compiled plan
     /// shape as the default serve-off run.
@@ -480,7 +427,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(case_budget()))]
 
-    /// The re-optimization toggle (PR 10) is inert until it has feedback,
+    /// The re-optimization toggle is inert until it has feedback,
     /// and result-preserving once it does. On one engine: the
     /// `ReoptConfig::disabled()` run takes exactly the pre-reopt code path;
     /// the first `ReoptConfig::enabled()` run finds a cold feedback cache,
